@@ -9,8 +9,12 @@
 
 const POLY: u32 = 0xEDB8_8320; // reflected 0x04C11DB7
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `TABLES[0]` is the classic bytewise table and
+/// `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the CRC with eight
+/// independent lookups instead of a chain of eight.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,20 +27,43 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor, reflected I/O —
 /// byte-compatible with zlib's `crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = u32::MAX;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -44,6 +71,40 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise reference loop: one table lookup per input byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in data {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_by_8_matches_the_bytewise_reference() {
+        // Every length 0..=257 at every start offset 0..8, so each
+        // alignment and each remainder length of the 8-byte loop is hit.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..8 + 257)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=257 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn known_vectors_match_zlib() {

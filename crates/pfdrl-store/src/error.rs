@@ -29,6 +29,12 @@ pub enum StoreError {
         /// Section kind whose checksum failed.
         kind: u32,
     },
+    /// The section table names a kind this format version does not
+    /// define.
+    UnknownSection {
+        /// Offending section kind.
+        kind: u32,
+    },
     /// The same section kind appears twice in the section table.
     DuplicateSection {
         /// Offending section kind.
@@ -87,6 +93,12 @@ impl fmt::Display for StoreError {
                 write!(
                     f,
                     "checksum mismatch in section kind {kind} (corrupt snapshot)"
+                )
+            }
+            StoreError::UnknownSection { kind } => {
+                write!(
+                    f,
+                    "section kind {kind} is not defined by this format version"
                 )
             }
             StoreError::DuplicateSection { kind } => {

@@ -16,8 +16,8 @@
 //!
 //! * every section is CRC-32 checksummed; corruption is detected
 //!   before any payload byte is interpreted;
-//! * unknown format versions, truncation, bit flips, duplicate or
-//!   missing sections and dangling tensor references all surface as
+//! * unknown format versions, truncation, bit flips, unknown,
+//!   duplicate or missing sections and dangling tensor references all surface as
 //!   typed [`StoreError`]s — decoding never panics and never
 //!   allocates more than the input's own size can justify;
 //! * identical parameter tensors (bit-for-bit) are stored once via a

@@ -20,7 +20,7 @@
 //! NaN payloads and signed zeros survive the round trip. Each section
 //! payload is independently checksummed; the decoder verifies every
 //! CRC before parsing a single payload byte, rejects unknown versions,
-//! duplicate sections and missing mandatory sections, and never
+//! unknown or duplicate sections and missing mandatory sections, and never
 //! panics on hostile input (lengths are validated against the bytes
 //! present before any allocation).
 //!
@@ -94,6 +94,12 @@ const ALL_SECTIONS: [u32; 6] = [
     section::TRANSPORT,
     section::METRICS,
 ];
+
+/// Sections that may be absent (see their kinds for when each is
+/// written). Together with [`ALL_SECTIONS`] these are every kind
+/// FORMAT_VERSION 2 defines; any other kind is an error, so a flipped
+/// bit in a section's kind cannot silently drop that section.
+const OPTIONAL_SECTIONS: [u32; 3] = [section::HEALTH, section::SERVE, section::SHARD];
 
 /// Run identity and progress. A resume refuses to proceed unless
 /// `config_hash` and `method` match the resuming configuration.
@@ -310,7 +316,7 @@ fn decode_account(r: &mut Reader<'_>) -> Result<EnergyAccount, StoreError> {
     })
 }
 
-fn encode_update(w: &mut Writer, pool: &mut TensorPool, u: &ModelUpdate) {
+fn encode_update(w: &mut Writer, pool: &mut TensorPool<'_>, u: &ModelUpdate) {
     w.put_usize(u.sender);
     w.put_u64(u.round);
     w.put_u64(u.model_id);
@@ -321,7 +327,7 @@ fn encode_update(w: &mut Writer, pool: &mut TensorPool, u: &ModelUpdate) {
     }
 }
 
-fn decode_update(r: &mut Reader<'_>, pool: &TensorPool) -> Result<ModelUpdate, StoreError> {
+fn decode_update(r: &mut Reader<'_>, pool: &TensorPool<'_>) -> Result<ModelUpdate, StoreError> {
     let sender = r.usize()?;
     let round = r.u64()?;
     let model_id = r.u64()?;
@@ -329,7 +335,7 @@ fn decode_update(r: &mut Reader<'_>, pool: &TensorPool) -> Result<ModelUpdate, S
     let mut layers = Vec::with_capacity(n);
     for _ in 0..n {
         let index = r.usize()?;
-        let params = pool.get(r.u64()?)?.clone();
+        let params = pool.get(r.u64()?)?;
         layers.push(LayerUpdate { index, params });
     }
     Ok(ModelUpdate {
@@ -340,7 +346,7 @@ fn decode_update(r: &mut Reader<'_>, pool: &TensorPool) -> Result<ModelUpdate, S
     })
 }
 
-fn encode_update_queues(w: &mut Writer, pool: &mut TensorPool, queues: &[Vec<ModelUpdate>]) {
+fn encode_update_queues(w: &mut Writer, pool: &mut TensorPool<'_>, queues: &[Vec<ModelUpdate>]) {
     w.put_usize(queues.len());
     for q in queues {
         w.put_usize(q.len());
@@ -352,7 +358,7 @@ fn encode_update_queues(w: &mut Writer, pool: &mut TensorPool, queues: &[Vec<Mod
 
 fn decode_update_queues(
     r: &mut Reader<'_>,
-    pool: &TensorPool,
+    pool: &TensorPool<'_>,
 ) -> Result<Vec<Vec<ModelUpdate>>, StoreError> {
     let n = r.count(8)?;
     let mut queues = Vec::with_capacity(n);
@@ -367,23 +373,26 @@ fn decode_update_queues(
     Ok(queues)
 }
 
-fn encode_layer_ids(w: &mut Writer, pool: &mut TensorPool, layers: &[Vec<f64>]) {
+fn encode_layer_ids(w: &mut Writer, pool: &mut TensorPool<'_>, layers: &[Vec<f64>]) {
     w.put_usize(layers.len());
     for layer in layers {
         w.put_u64(pool.intern(layer) as u64);
     }
 }
 
-fn decode_layer_ids(r: &mut Reader<'_>, pool: &TensorPool) -> Result<Vec<Vec<f64>>, StoreError> {
+fn decode_layer_ids(
+    r: &mut Reader<'_>,
+    pool: &TensorPool<'_>,
+) -> Result<Vec<Vec<f64>>, StoreError> {
     let n = r.count(8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(pool.get(r.u64()?)?.clone());
+        out.push(pool.get(r.u64()?)?);
     }
     Ok(out)
 }
 
-fn encode_dqn(w: &mut Writer, pool: &mut TensorPool, s: &DqnState) {
+fn encode_dqn(w: &mut Writer, pool: &mut TensorPool<'_>, s: &DqnState) {
     encode_layer_ids(w, pool, &s.qnet);
     encode_layer_ids(w, pool, &s.target);
     w.put_u64(s.opt.t);
@@ -411,7 +420,7 @@ fn encode_dqn(w: &mut Writer, pool: &mut TensorPool, s: &DqnState) {
     w.put_u64(s.grad_steps);
 }
 
-fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool) -> Result<DqnState, StoreError> {
+fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool<'_>) -> Result<DqnState, StoreError> {
     let qnet = decode_layer_ids(r, pool)?;
     let target = decode_layer_ids(r, pool)?;
     let t = r.u64()?;
@@ -422,11 +431,11 @@ fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool) -> Result<DqnState, StoreEr
     let n = r.count(25)?; // min bytes per transition: id + action + reward + flag
     let mut transitions = Vec::with_capacity(n);
     for _ in 0..n {
-        let state = pool.get(r.u64()?)?.clone();
+        let state = pool.get(r.u64()?)?;
         let action = r.usize()?;
         let reward = r.f64()?;
         let next_state = if r.bool()? {
-            Some(pool.get(r.u64()?)?.clone())
+            Some(pool.get(r.u64()?)?)
         } else {
             None
         };
@@ -583,7 +592,7 @@ impl RunSnapshot {
 
         // SHARD references the tensor pool (parked shard-bus updates),
         // so its payload must exist before the pool is serialized.
-        let shard_payload = self.shard.as_ref().map(|s| {
+        let shard = self.shard.as_ref().map(|s| {
             let mut shard = Writer::new();
             shard.put_usize(s.home_shard.len());
             for &sh in &s.home_shard {
@@ -604,21 +613,10 @@ impl RunSnapshot {
                 encode_update_queues(&mut shard, &mut pool, &sh.bus.parked_ready);
                 encode_update_queues(&mut shard, &mut pool, &sh.bus.parked_staged);
             }
-            shard.into_bytes()
+            shard
         });
 
-        let mut tensors = Writer::new();
-        pool.encode(&mut tensors);
-
-        let mut sections: Vec<(u32, Vec<u8>)> = vec![
-            (section::META, meta.into_bytes()),
-            (section::TENSORS, tensors.into_bytes()),
-            (section::FORECAST, forecast.into_bytes()),
-            (section::AGENTS, agents.into_bytes()),
-            (section::TRANSPORT, transport.into_bytes()),
-            (section::METRICS, metrics.into_bytes()),
-        ];
-        if let Some(h) = &self.health {
+        let health = self.health.as_ref().map(|h| {
             let mut health = Writer::new();
             health.put_usize(h.per_home.len());
             for rec in &h.per_home {
@@ -631,9 +629,9 @@ impl RunSnapshot {
             health.put_u64(h.quarantined_home_days);
             health.put_u64(h.rollbacks);
             health.put_f64s(&h.daily_mean_loss);
-            sections.push((section::HEALTH, health.into_bytes()));
-        }
-        if let Some(s) = &self.serve {
+            health
+        });
+        let serve = self.serve.as_ref().map(|s| {
             let mut serve = Writer::new();
             serve.put_u64(s.cursor);
             serve.put_u64(s.lines_consumed);
@@ -664,18 +662,34 @@ impl RunSnapshot {
                     serve.put_f64s(&dev.today_watts);
                 }
             }
-            sections.push((section::SERVE, serve.into_bytes()));
-        }
-        if let Some(payload) = shard_payload {
-            sections.push((section::SHARD, payload));
+            serve
+        });
+
+        let mut sections: Vec<(u32, &[u8])> = vec![
+            (section::META, meta.as_bytes()),
+            (section::TENSORS, pool.as_bytes()),
+            (section::FORECAST, forecast.as_bytes()),
+            (section::AGENTS, agents.as_bytes()),
+            (section::TRANSPORT, transport.as_bytes()),
+            (section::METRICS, metrics.as_bytes()),
+        ];
+        for (kind, payload) in [
+            (section::HEALTH, &health),
+            (section::SERVE, &serve),
+            (section::SHARD, &shard),
+        ] {
+            if let Some(payload) = payload {
+                sections.push((kind, payload.as_bytes()));
+            }
         }
 
-        let mut file = Writer::new();
+        let file_len = 12 + sections.iter().map(|(_, p)| 16 + p.len()).sum::<usize>();
+        let mut file = Writer::with_capacity(file_len);
         file.put_bytes(&MAGIC);
         file.put_u32(FORMAT_VERSION);
         file.put_u32(sections.len() as u32);
-        for (kind, payload) in &sections {
-            file.put_u32(*kind);
+        for (kind, payload) in sections {
+            file.put_u32(kind);
             file.put_u64(payload.len() as u64);
             file.put_u32(crc32(payload));
             file.put_bytes(payload);
@@ -686,7 +700,7 @@ impl RunSnapshot {
     /// Parse and validate a `PFDS` byte stream.
     ///
     /// Rejects: wrong magic, unknown version, truncation anywhere,
-    /// CRC mismatches, duplicate or missing sections, dangling tensor
+    /// CRC mismatches, unknown, duplicate or missing sections, dangling tensor
     /// references and structurally malformed payloads — each as a
     /// distinct [`StoreError`]. Never panics on arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
@@ -708,6 +722,9 @@ impl RunSnapshot {
             let payload = r.take(len)?;
             if crc32(payload) != stored_crc {
                 return Err(StoreError::SectionCrc { kind });
+            }
+            if !ALL_SECTIONS.contains(&kind) && !OPTIONAL_SECTIONS.contains(&kind) {
+                return Err(StoreError::UnknownSection { kind });
             }
             if payloads.iter().any(|&(k, _)| k == kind) {
                 return Err(StoreError::DuplicateSection { kind });
@@ -1285,6 +1302,22 @@ mod tests {
     }
 
     #[test]
+    fn encoding_matches_golden_bytes() {
+        // Length and CRC-32 of each fixture's encoding, pinned from the
+        // bytewise codec. Any format drift (section order, field width,
+        // pool id assignment) fails here.
+        use super::test_fixtures::{sample_hier_snapshot, sample_serve_snapshot};
+        for (name, snap, len, crc) in [
+            ("sample", sample_snapshot(), 2136, 0xF48D_F29B),
+            ("serve", sample_serve_snapshot(), 3376, 0xF119_1950),
+            ("hier", sample_hier_snapshot(), 2684, 0x3076_3558),
+        ] {
+            let bytes = snap.encode();
+            assert_eq!((bytes.len(), crc32(&bytes)), (len, crc), "{name} drifted");
+        }
+    }
+
+    #[test]
     fn dedup_collapses_shared_tensors() {
         // The sample shares its base layer across 2 homes × (qnet +
         // target + forecast) + bus traffic + cloud global. The stored
@@ -1360,6 +1393,53 @@ mod tests {
             Err(StoreError::SectionCrc {
                 kind: section::META
             })
+        );
+    }
+
+    #[test]
+    fn every_header_bit_flip_is_an_error() {
+        // Every optional section present, so a kind flipped onto another
+        // defined kind always duplicates one.
+        use super::test_fixtures::{sample_hier_snapshot, sample_serve_snapshot};
+        let mut snap = sample_hier_snapshot();
+        snap.serve = sample_serve_snapshot().serve;
+        let bytes = snap.encode();
+        let (_, sections) = split_sections(&bytes);
+        assert_eq!(sections.len(), 9);
+
+        // The file header, then each section's kind, len and CRC.
+        let mut header_bytes: Vec<usize> = (0..12).collect();
+        let mut pos = 12;
+        for (_, payload) in &sections {
+            header_bytes.extend(pos..pos + 16);
+            pos += 16 + payload.len();
+        }
+        for byte in header_bytes {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(
+                    RunSnapshot::decode(&flipped).is_err(),
+                    "flip of byte {byte} bit {bit} went undetected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_section_kinds_are_typed_errors() {
+        // A HEALTH section relabelled with an undefined kind (valid CRC)
+        // must not decode as a snapshot without health state.
+        let bytes = sample_snapshot().encode();
+        let (header, mut sections) = split_sections(&bytes);
+        let health = sections
+            .iter_mut()
+            .find(|(k, _)| *k == section::HEALTH)
+            .unwrap();
+        health.0 = 15;
+        assert_eq!(
+            RunSnapshot::decode(&join_sections(&header, &sections)),
+            Err(StoreError::UnknownSection { kind: 15 })
         );
     }
 

@@ -22,9 +22,22 @@ impl Writer {
         Self::default()
     }
 
+    /// Empty writer with room for `bytes` bytes, so a payload whose
+    /// size is known up front is written without regrowing.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes written so far.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes written so far.
@@ -75,9 +88,7 @@ impl Writer {
     /// Length-prefixed f64 slice.
     pub fn put_f64s(&mut self, vs: &[f64]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f64(v);
-        }
+        extend_f64s(&mut self.buf, vs);
     }
 
     /// Length-prefixed UTF-8 string.
@@ -85,6 +96,29 @@ impl Writer {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+}
+
+/// Append the raw bit patterns of `vs` to `buf`, little-endian, in one
+/// pass over a buffer grown once.
+pub(crate) fn extend_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
+    let start = buf.len();
+    buf.resize(start + 8 * vs.len(), 0);
+    for (dst, v) in buf[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// The little-endian u64 words of `bytes`, whose length is a multiple
+/// of 8.
+pub(crate) fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk")))
+}
+
+/// The f64s whose raw bit patterns `bytes` holds (see [`le_words`]).
+pub(crate) fn f64s_from_le(bytes: &[u8]) -> Vec<f64> {
+    le_words(bytes).map(f64::from_bits).collect()
 }
 
 /// Bounds-checked little-endian decoder over a borrowed byte slice.
@@ -108,6 +142,11 @@ impl<'a> Reader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not yet consumed, borrowed for the input's lifetime.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Fail with [`StoreError::Malformed`] if any bytes remain.
@@ -183,11 +222,7 @@ impl<'a> Reader<'a> {
     /// Length-prefixed f64 vector (length validated before allocation).
     pub fn f64s(&mut self) -> Result<Vec<f64>, StoreError> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        Ok(f64s_from_le(self.take(8 * n)?))
     }
 
     /// Length-prefixed UTF-8 string.
