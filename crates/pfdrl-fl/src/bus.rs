@@ -12,7 +12,11 @@
 //! peers shares one payload instead of cloning it, and
 //! [`BroadcastBus::broadcast_arc`] lets callers keep a handle to the
 //! exact payload they sent (the shared-reduction fast path uses pointer
-//! identity to prove a mailbox saw the full fault-free round).
+//! identity to prove a mailbox saw the full fault-free round). A round
+//! with nothing that could perturb a delivery — no fault injector, every
+//! mailbox open and empty — can skip the mailboxes altogether:
+//! [`BroadcastBus::broadcast_all_closed_form`] charges its traffic in
+//! O(senders) instead of O(senders × receivers).
 //! Statistics live in relaxed atomics, so concurrent broadcasters never
 //! serialize on a stats lock; totals are exact because every counter
 //! update is a commutative add.
@@ -380,6 +384,43 @@ impl BroadcastBus {
         for delta in &deltas {
             self.inner.stats.add(delta);
         }
+    }
+
+    /// The fault-free round in closed form. When the bus has no fault
+    /// injector and every mailbox is open and empty, a
+    /// [`broadcast_all`](Self::broadcast_all) followed by one keyed
+    /// drain per receiver would hand receiver `i` exactly `updates`
+    /// minus its own, in slice order, and leave every mailbox empty
+    /// again. In that case this charges the same statistics — `n − 1`
+    /// deliveries of each update's wire and logical size — without
+    /// touching a mailbox, and returns true; the caller then owns the
+    /// deliveries and must not drain for them. Otherwise it changes
+    /// nothing and returns false, and the caller takes the mailbox
+    /// path.
+    ///
+    /// # Panics
+    /// Panics if any `update.sender` is out of range.
+    pub fn broadcast_all_closed_form(&self, updates: &[Arc<ModelUpdate>]) -> bool {
+        let n = self.len();
+        let quiet = self.inner.faults.is_none()
+            && self
+                .inner
+                .mailboxes
+                .iter()
+                .all(|m| !m.closed.load(Ordering::Relaxed) && m.queue.lock().is_empty());
+        if !quiet {
+            return false;
+        }
+        let peers = n as u64 - 1;
+        let mut delta = BusStats::default();
+        for arc in updates {
+            assert!(arc.sender < n, "sender {} out of range", arc.sender);
+            delta.messages += peers;
+            delta.bytes += peers * self.inner.codec.wire_update_bytes(arc) as u64;
+            delta.logical_bytes += peers * arc.byte_size() as u64;
+        }
+        self.inner.stats.add(&delta);
+        true
     }
 
     /// Routes one point-to-point delivery through the fault plan and
@@ -933,6 +974,55 @@ mod tests {
         assert_eq!(s.messages, 4); // 3 senders x 2 peers - 2 to the dead box
         assert_eq!(s.dropped_disconnected, 2);
         assert!(bus.drain(2).is_empty());
+    }
+
+    #[test]
+    fn closed_form_broadcast_charges_exactly_what_the_mailboxes_would() {
+        let codec = PayloadCodec::QuantizedI8 {
+            per_layer_scale: true,
+        };
+        let n = 5;
+        let arcs: Vec<Arc<ModelUpdate>> = [0, 2, 3]
+            .iter()
+            .map(|&s| Arc::new(update(s, 8 + s)))
+            .collect();
+        let mailbox =
+            BroadcastBus::with_codec(n, LatencyModel::lan(), &FaultConfig::default(), codec);
+        let closed =
+            BroadcastBus::with_codec(n, LatencyModel::lan(), &FaultConfig::default(), codec);
+        mailbox.broadcast_all(&arcs);
+        assert!(closed.broadcast_all_closed_form(&arcs));
+        assert_eq!(closed.stats(), mailbox.stats());
+        assert_eq!(
+            closed.simulated_seconds().to_bits(),
+            mailbox.simulated_seconds().to_bits()
+        );
+        for id in 0..n {
+            assert!(closed.drain(id).is_empty(), "mailboxes stay untouched");
+        }
+    }
+
+    #[test]
+    fn closed_form_broadcast_refuses_anything_but_a_quiet_bus() {
+        let arcs: Vec<Arc<ModelUpdate>> = (0..3).map(|s| Arc::new(update(s, 4))).collect();
+        // Active fault plan.
+        let cfg = FaultConfig {
+            loss_rate: 0.1,
+            ..FaultConfig::default()
+        };
+        let faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &cfg);
+        // Disconnected receiver.
+        let dead = BroadcastBus::new(3, LatencyModel::lan());
+        dead.disconnect(1);
+        // Undrained mailbox.
+        let busy = BroadcastBus::new(3, LatencyModel::lan());
+        busy.broadcast(update(0, 4));
+        for bus in [&faulty, &dead, &busy] {
+            let stats = bus.stats();
+            assert!(!bus.broadcast_all_closed_form(&arcs));
+            assert_eq!(bus.stats(), stats, "a refused call charges nothing");
+        }
+        assert_eq!(busy.drain(1).len(), 1, "queued deliveries stay queued");
     }
 
     #[test]

@@ -194,10 +194,11 @@ impl PayloadCodec {
         match self {
             PayloadCodec::Raw => {}
             PayloadCodec::QuantizedI8 { per_layer_scale } => {
-                let scales = q8_scales(update, *per_layer_scale);
-                for (layer, &scale) in update.layers.iter_mut().zip(&scales) {
+                let shared = q8_shared_scale(&update.layers, *per_layer_scale);
+                for layer in update.layers.iter_mut() {
+                    let scale = q8_layer_scale(shared, &layer.params);
                     for p in layer.params.iter_mut() {
-                        *p = q8_quantize(*p, scale) as f64 * scale;
+                        *p = q8_level(*p, scale) * scale;
                     }
                 }
             }
@@ -223,43 +224,68 @@ impl PayloadCodec {
     }
 }
 
-/// Per-layer (or replicated update-global) int8 scales. Non-finite
-/// parameters are excluded from the max, so a single NaN cannot zero
-/// out (scale = NaN → everything quantizes to 0) an otherwise healthy
-/// layer... it simply quantizes to 0 itself.
-fn q8_scales(update: &ModelUpdate, per_layer: bool) -> Vec<f64> {
-    let max_abs = |params: &[f64]| {
-        params
-            .iter()
-            .copied()
-            .filter(|p| p.is_finite())
-            .fold(0.0f64, |acc, p| acc.max(p.abs()))
+/// Largest finite `|x|` in `params`, 0.0 when there is none. Non-finite
+/// parameters are excluded, so a single NaN cannot zero out an
+/// otherwise healthy layer (it simply quantizes to 0 itself). Four
+/// independent lanes without branches: max is exact and order-free, so
+/// the lane split cannot change the result.
+fn q8_max_abs(params: &[f64]) -> f64 {
+    let finite_abs = |x: f64| {
+        let a = x.abs();
+        if a < f64::INFINITY {
+            a
+        } else {
+            0.0
+        }
     };
-    if per_layer {
-        update
-            .layers
-            .iter()
-            .map(|l| max_abs(&l.params) / 127.0)
-            .collect()
-    } else {
-        let global = update
-            .layers
-            .iter()
-            .map(|l| max_abs(&l.params))
-            .fold(0.0f64, f64::max)
-            / 127.0;
-        vec![global; update.layers.len()]
+    let max = |m: f64, a: f64| if a > m { a } else { m };
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = params.chunks_exact(4);
+    for c in &mut chunks {
+        for (m, &x) in lanes.iter_mut().zip(c) {
+            *m = max(*m, finite_abs(x));
+        }
     }
+    let tail = chunks
+        .remainder()
+        .iter()
+        .fold(0.0, |m, &x| max(m, finite_abs(x)));
+    lanes.into_iter().fold(tail, max)
 }
 
-/// Deterministic symmetric quantization: round-to-nearest-even, ±127
-/// clamp, non-finite → 0. A zero (or degenerate) scale maps everything
-/// to 0.
-fn q8_quantize(x: f64, scale: f64) -> i8 {
-    if scale <= 0.0 || !scale.is_finite() || !x.is_finite() {
-        return 0;
+/// The update-wide int8 scale when one scale covers every layer
+/// (`per_layer == false`), `None` when each layer carries its own.
+fn q8_shared_scale(layers: &[LayerUpdate], per_layer: bool) -> Option<f64> {
+    (!per_layer).then(|| {
+        layers
+            .iter()
+            .map(|l| q8_max_abs(&l.params))
+            .fold(0.0f64, f64::max)
+            / 127.0
+    })
+}
+
+/// The int8 scale of one layer: the shared one, or its own
+/// `max|x| / 127`.
+fn q8_layer_scale(shared: Option<f64>, params: &[f64]) -> f64 {
+    shared.unwrap_or_else(|| q8_max_abs(params) / 127.0)
+}
+
+/// The int8 kernel: the symmetric level of `x` under `scale` as an
+/// integral f64 in `[-127, 127]` — `x / scale` rounded half to even,
+/// then clamped. `+ 0.0` turns a −0.0 level into +0.0, as the `i8`
+/// round trip does, and a non-finite `x` or a zero scale selects level
+/// 0. Branch-free, so the per-layer loops vectorize. `encode_with`
+/// writes the level as an `i8`; `transform` writes `level * scale`,
+/// exactly what the decoder rebuilds from it.
+#[inline]
+fn q8_level(x: f64, scale: f64) -> f64 {
+    let q = (x / scale).round_ties_even().clamp(-127.0, 127.0) + 0.0;
+    if x.is_finite() & (scale > 0.0) {
+        q
+    } else {
+        0.0
     }
-    (x / scale).round_ties_even().clamp(-127.0, 127.0) as i8
 }
 
 /// Sparse fill value: the sequential mean of the finite parameters
@@ -393,14 +419,13 @@ impl ModelUpdate {
                 }
             }
             PayloadCodec::QuantizedI8 { per_layer_scale } => {
-                let scales = q8_scales(self, per_layer_scale);
-                for (layer, &scale) in self.layers.iter().zip(&scales) {
+                let shared = q8_shared_scale(&self.layers, per_layer_scale);
+                for layer in &self.layers {
+                    let scale = q8_layer_scale(shared, &layer.params);
                     out.extend_from_slice(&(layer.index as u64).to_le_bytes());
                     out.extend_from_slice(&(layer.params.len() as u64).to_le_bytes());
                     out.extend_from_slice(&scale.to_le_bytes());
-                    for &p in &layer.params {
-                        out.push(q8_quantize(p, scale) as u8);
-                    }
+                    out.extend(layer.params.iter().map(|&p| q8_level(p, scale) as i8 as u8));
                 }
             }
             PayloadCodec::TopK { fraction } => {
@@ -460,7 +485,19 @@ impl ModelUpdate {
                         return Err(CodecError::Malformed("quantization scale"));
                     }
                     let quants = r.bytes(len)?;
-                    quants.iter().map(|&q| (q as i8) as f64 * scale).collect()
+                    let mut least = 0i8;
+                    let params = quants
+                        .iter()
+                        .map(|&q| {
+                            least = least.min(q as i8);
+                            (q as i8) as f64 * scale
+                        })
+                        .collect();
+                    // The symmetric encoder never emits -128.
+                    if least == i8::MIN {
+                        return Err(CodecError::Malformed("quantization level"));
+                    }
+                    params
                 }
                 _ => {
                     if len > MAX_SPARSE_LAYER_LEN {
@@ -587,6 +624,7 @@ impl<'a> ByteReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn update(layer_sizes: &[usize]) -> ModelUpdate {
         ModelUpdate {
@@ -924,6 +962,16 @@ mod tests {
             Err(CodecError::Malformed("quantization scale"))
         );
 
+        // v2 with the level -128, which the symmetric encoder never emits.
+        let mut q8 = u.encode_with(PayloadCodec::QuantizedI8 {
+            per_layer_scale: true,
+        });
+        q8[scale_off + 8] = 0x80;
+        assert_eq!(
+            ModelUpdate::decode(&q8),
+            Err(CodecError::Malformed("quantization level"))
+        );
+
         // v3 with out-of-order indices.
         let topk = u.encode_with(PayloadCodec::TopK { fraction: 0.5 });
         let idx_off = 30 + 16 + 8 + 4;
@@ -989,6 +1037,189 @@ mod tests {
                 ModelUpdate::decode(&padded),
                 Err(CodecError::Malformed("trailing bytes"))
             );
+        }
+    }
+
+    /// The scalar q8 quantizer the branch-free kernel replaced, kept as
+    /// its oracle: a zero (or degenerate) scale or a non-finite input
+    /// maps to 0, otherwise round half to even and clamp to ±127.
+    fn q8_quantize(x: f64, scale: f64) -> i8 {
+        if scale <= 0.0 || !scale.is_finite() || !x.is_finite() {
+            return 0;
+        }
+        (x / scale).round_ties_even().clamp(-127.0, 127.0) as i8
+    }
+
+    /// The oracle's scales: a filtered sequential max per layer,
+    /// replicated when one scale covers the update.
+    fn q8_oracle_scales(u: &ModelUpdate, per_layer: bool) -> Vec<f64> {
+        let max_abs = |params: &[f64]| {
+            params
+                .iter()
+                .copied()
+                .filter(|p| p.is_finite())
+                .fold(0.0f64, |acc, p| acc.max(p.abs()))
+        };
+        let per: Vec<f64> = u.layers.iter().map(|l| max_abs(&l.params)).collect();
+        if per_layer {
+            per.iter().map(|m| m / 127.0).collect()
+        } else {
+            vec![per.iter().copied().fold(0.0, f64::max) / 127.0; per.len()]
+        }
+    }
+
+    /// A parameter drawn by `kind` from raw `bits`: any bit pattern,
+    /// NaN payloads, ±inf, ±0, subnormals, exact half-level ties
+    /// (including ±127.5 levels) under the scale `q8_pow2(e)`, or a
+    /// plain weight.
+    fn q8_param(kind: u8, bits: u64, e: u64) -> f64 {
+        let sign = bits & (1 << 63);
+        match kind {
+            0 => f64::from_bits(bits),
+            1 => {
+                f64::from_bits(sign | 0x7ff0_0000_0000_0000 | (bits & 0x000f_ffff_ffff_ffff).max(1))
+            }
+            2 => f64::from_bits(sign | 0x7ff0_0000_0000_0000),
+            3 => f64::from_bits(sign),
+            4 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff),
+            5..=7 => q8_tie(bits, e),
+            _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 200.0 - 100.0,
+        }
+    }
+
+    /// `(k + 0.5) · q8_pow2(e)` for a level `k` in `-128..128`: an
+    /// exact tie of the rounding step under the scale `q8_pow2(e)`.
+    fn q8_tie(bits: u64, e: u64) -> f64 {
+        let k = (bits % 256) as f64 - 128.0;
+        (k + 0.5) * q8_pow2(e)
+    }
+
+    /// A power of two in `2^-20 ..= 2^20`.
+    fn q8_pow2(e: u64) -> f64 {
+        2f64.powi((e % 41) as i32 - 20)
+    }
+
+    /// `(shape, scale exponent, (kind, bits) per element)`.
+    type Q8Layer = (u8, u64, Vec<(u8, u64)>);
+
+    /// One layer per `(shape, e, elements)`: shape 0 mixes every kind,
+    /// 1 is all non-finite, 2 is empty, 3 holds exact ties plus the
+    /// `127 · 2^e` anchor that makes its own scale exactly `2^e`.
+    fn q8_update(layers: &[Q8Layer]) -> ModelUpdate {
+        let build = |&(shape, e, ref elems): &Q8Layer| -> Vec<f64> {
+            match shape {
+                0 => elems.iter().map(|&(k, b)| q8_param(k, b, e)).collect(),
+                1 => elems
+                    .iter()
+                    .map(|&(k, b)| q8_param(1 + k % 2, b, e))
+                    .collect(),
+                2 => Vec::new(),
+                _ => {
+                    let anchor = 127.0 * q8_pow2(e);
+                    let mut v: Vec<f64> = elems
+                        .iter()
+                        .map(|&(_, b)| q8_tie(b, e))
+                        .filter(|x| x.abs() < anchor)
+                        .collect();
+                    v.push(anchor);
+                    v
+                }
+            }
+        };
+        valued_update(&layers.iter().map(build).collect::<Vec<_>>())
+    }
+
+    fn q8_layers() -> impl Strategy<Value = Vec<Q8Layer>> {
+        prop::collection::vec(
+            (
+                0u8..4,
+                0u64..41,
+                prop::collection::vec((0u8..10, 0u64..=u64::MAX), 0..40),
+            ),
+            0..5,
+        )
+    }
+
+    #[test]
+    fn q8_kernel_matches_the_oracle_on_every_half_level_tie_and_special() {
+        for e in 0..41 {
+            let scale = q8_pow2(e);
+            let ties = (0..256).map(|k| q8_tie(k, e));
+            let specials = [
+                0.0,
+                -0.0,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                5e-324,
+            ];
+            for x in ties.chain(specials) {
+                let want = q8_quantize(x, scale);
+                assert_eq!(
+                    q8_level(x, scale).to_bits(),
+                    (want as f64).to_bits(),
+                    "x={x}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// The kernel agrees with the scalar oracle on every
+        /// (parameter, scale) pair: the same `i8` level and the same
+        /// dequantized bits, for zero, power-of-two, arbitrary finite
+        /// and subnormal scales.
+        #[test]
+        fn q8_kernel_matches_the_scalar_oracle(
+            kind in 0u8..10,
+            bits in 0u64..=u64::MAX,
+            scale_kind in 0u8..4,
+            scale_bits in 0u64..=u64::MAX,
+        ) {
+            let x = q8_param(kind, bits, scale_bits);
+            let scale = match scale_kind {
+                0 => 0.0,
+                1 => q8_pow2(scale_bits),
+                2 => f64::from_bits(scale_bits & 0x7fef_ffff_ffff_ffff),
+                _ => f64::from_bits(scale_bits & 0x000f_ffff_ffff_ffff),
+            };
+            let level = q8_level(x, scale);
+            let want = q8_quantize(x, scale);
+            prop_assert_eq!(level as i8, want);
+            prop_assert_eq!(level.to_bits(), (want as f64).to_bits());
+            prop_assert_eq!((level * scale).to_bits(), (want as f64 * scale).to_bits());
+        }
+
+        /// `transform` and `encode_with` under both scale settings equal
+        /// the scalar oracle bit for bit, and decoding the encoding gives
+        /// back the transform.
+        #[test]
+        fn q8_transform_and_encoding_match_the_scalar_oracle(layers in q8_layers()) {
+            let u = q8_update(&layers);
+            for per_layer_scale in [true, false] {
+                let codec = PayloadCodec::QuantizedI8 { per_layer_scale };
+                let scales = q8_oracle_scales(&u, per_layer_scale);
+                let mut want_bytes = u.encode_with(PayloadCodec::Raw)[..30].to_vec();
+                want_bytes[..2].copy_from_slice(&CODEC_VERSION_Q8.to_le_bytes());
+                let mut want = u.clone();
+                for (layer, &scale) in want.layers.iter_mut().zip(&scales) {
+                    want_bytes.extend_from_slice(&(layer.index as u64).to_le_bytes());
+                    want_bytes.extend_from_slice(&(layer.params.len() as u64).to_le_bytes());
+                    want_bytes.extend_from_slice(&scale.to_le_bytes());
+                    for p in layer.params.iter_mut() {
+                        let q = q8_quantize(*p, scale);
+                        want_bytes.push(q as u8);
+                        *p = q as f64 * scale;
+                    }
+                }
+                let mut got = u.clone();
+                codec.transform(&mut got);
+                prop_assert_eq!(bits(&got), bits(&want));
+                let bytes = u.encode_with(codec);
+                prop_assert!(bytes == want_bytes, "per_layer_scale {}", per_layer_scale);
+                let decoded = ModelUpdate::decode(&bytes).expect("q8 decode");
+                prop_assert_eq!(bits(&decoded), bits(&want));
+            }
         }
     }
 }

@@ -20,12 +20,21 @@
 //! the round's update sum `S = Σ_j u_j` once with a fixed-shape parallel
 //! tree-reduce and derives each home's merged model as
 //! `(local_i + (S − u_i)) / N` — O(N·params) total instead of
-//! O(N²·params). A home is only eligible when its mailbox provably saw
-//! the complete fault-free round: exactly N−1 updates, each pointer-
+//! O(N²·params). A home is only eligible when it provably saw the
+//! complete fault-free round: exactly N−1 updates, each pointer-
 //! identical to this round's broadcast payloads, in sender order. Any
 //! deviation (loss, churn, straggling, corruption — stragglers surface
 //! old Arcs, corruption re-wraps new ones) falls that home back to the
 //! exact per-home merge of whatever it did receive.
+//!
+//! Most rounds have nothing that could cause a deviation: no fault
+//! plan, no disconnected receiver, no undrained mailbox. The bus then
+//! settles the exchange in closed form
+//! ([`BroadcastBus::broadcast_all_closed_form`]) and the engine skips
+//! the O(N²) mailbox fan-out — deliveries, keyed drains and the per-home
+//! pointer scan — because every home's received set is known to be
+//! `sent` minus its own, in sender order. Only a home that falls back
+//! materializes that list. Anything else takes the mailbox path.
 
 use crate::aggregate::{
     fill_update, merge_base_layers, merge_updates_with, snapshot_update, AggregationMode,
@@ -194,6 +203,9 @@ pub struct DflRound {
     sent: Vec<Arc<ModelUpdate>>,
     /// Per-home drain buffers (arrival order, keyed by model id).
     received: Vec<Vec<Arc<ModelUpdate>>>,
+    /// The bus settled this round in closed form: `received` is not
+    /// filled, every home's received set is `sent` minus its own.
+    closed_form: bool,
     /// Per-home fast-path eligibility for the current round.
     eligible: Vec<bool>,
     /// The tree-reduced update sum S, per layer (SharedSum only).
@@ -268,7 +280,8 @@ impl DflRound {
     }
 
     /// Phase 1 of a round: export pooled buffers, broadcast in home
-    /// order, drain every mailbox, and (when `probe`) compute per-home
+    /// order, drain every mailbox (unless the bus settles the round in
+    /// closed form), and (when `probe`) compute per-home
     /// fast-path eligibility. `probe` must already fold in the caller's
     /// global preconditions (mode, fleet size, full participation,
     /// meetable quorum) — this phase only validates the payloads
@@ -315,10 +328,6 @@ impl DflRound {
                 }
             });
 
-        // Broadcast the round as one batched pass (one mailbox lock per
-        // receiver); deliveries land in home order per receiver, which
-        // is the arrival order the merge float-sum bit-identity pin
-        // relies on — identical to the historical per-sender loop.
         // Withheld (quarantined) homes upload nothing; their staged
         // buffer goes straight back to the pool.
         self.sent.clear();
@@ -329,14 +338,15 @@ impl DflRound {
                 self.pool.put(buf);
             }
         }
-        p.bus.broadcast_all(&self.sent);
-
-        // Drain: per-home keyed drains, independent, parallel.
-        self.received.truncate(n);
-        while self.received.len() < n {
-            self.received.push(Vec::new());
-        }
-        {
+        self.received.resize_with(n, Vec::new);
+        // A quiet bus settles the round in closed form. Otherwise
+        // broadcast as one batched pass (one mailbox lock per receiver;
+        // deliveries land in home order per receiver, the arrival order
+        // the merge float-sum bit-identity pin relies on) and drain
+        // every home's mailbox, keyed by model id.
+        self.closed_form = p.bus.broadcast_all_closed_form(&self.sent);
+        if !self.closed_form {
+            p.bus.broadcast_all(&self.sent);
             let bus = p.bus;
             self.received
                 .par_iter_mut()
@@ -362,9 +372,10 @@ impl DflRound {
         // Fast-path eligibility. The whole column falls back when any
         // broadcast payload failed validation; a single home falls back
         // when its mailbox did not see exactly this round's payloads in
-        // sender order. (A one-home column is trivially complete — its
-        // mailbox correctly saw zero peers — which is what lets a
-        // singleton shard still join the hierarchical global sum.)
+        // sender order, which a closed-form round rules out. (A one-home
+        // column is trivially complete — its mailbox correctly saw zero
+        // peers — which is what lets a singleton shard still join the
+        // hierarchical global sum.)
         self.eligible.clear();
         self.eligible.resize(n, false);
         let mut payloads_ok = false;
@@ -381,7 +392,9 @@ impl DflRound {
                             && (!check_finite || a.params.iter().all(|x| x.is_finite()))
                     })
             });
-            if payloads_ok {
+            if payloads_ok && self.closed_form {
+                self.eligible.fill(true);
+            } else if payloads_ok {
                 let received = &self.received;
                 self.eligible
                     .par_iter_mut()
@@ -405,7 +418,8 @@ impl DflRound {
     /// Phase 2 of a round: merge every home in parallel, then release
     /// the round's payload handles back to the pool. Eligible homes
     /// apply `(local + (shared − u_i)) / count`; everything else
-    /// replays the exact per-home merge on its received set. Flat
+    /// replays the exact per-home merge on its received set (built from
+    /// `sent` after a closed-form exchange). Flat
     /// callers pass this column's own tree sum and `count = n`;
     /// hierarchical callers pass the fleet-global sum and fleet size.
     pub(crate) fn merge_with_sum<M: Layered + Send + Sync + ?Sized>(
@@ -421,7 +435,7 @@ impl DflRound {
         {
             let sent = &self.sent;
             let eligible = &self.eligible;
-            let received = &self.received;
+            let closed_form = self.closed_form;
             let policy = p.policy;
             let alpha = p.alpha;
             let round = p.round;
@@ -429,8 +443,9 @@ impl DflRound {
             models
                 .par_iter_mut()
                 .zip(self.fast_scratch.par_iter_mut())
+                .zip(self.received.par_iter_mut())
                 .enumerate()
-                .for_each(|(home, (model, scratch))| {
+                .for_each(|(home, ((model, scratch), r))| {
                     let model: &mut M = model;
                     if eligible[home] {
                         let own = &sent[home];
@@ -443,22 +458,22 @@ impl DflRound {
                             model.import_layer(l, scratch);
                         }
                     } else {
-                        let r = &received[home][..];
+                        if closed_form {
+                            r.extend(sent.iter().filter(|u| u.sender != home).cloned());
+                        }
                         match alpha {
                             Some(a) => {
-                                let _ = merge_base_layers(model, r, a, round, policy);
+                                let _ = merge_base_layers(model, &r[..], a, round, policy);
                             }
                             None => {
-                                let _ = merge_updates_with(model, r, round, policy);
+                                let _ = merge_updates_with(model, &r[..], round, policy);
                             }
                         }
                     }
+                    // Release this home's payload handles so the pool
+                    // can reclaim them.
+                    r.clear();
                 });
-        }
-
-        // Release the round's payload handles so the pool can reclaim.
-        for buf in self.received.iter_mut() {
-            buf.clear();
         }
         self.pool.reclaim(&mut self.sent);
         RoundOutcome {
@@ -821,6 +836,45 @@ mod tests {
         );
         assert_eq!(bits(&with_mask), bits(&without));
         assert_eq!(bus_a.stats(), bus_b.stats());
+    }
+
+    #[test]
+    fn only_a_quiet_bus_settles_the_round_in_closed_form() {
+        let policy = MergePolicy::default();
+        let lossy = FaultConfig {
+            loss_rate: 0.1,
+            ..FaultConfig::default()
+        };
+        let quiet = BroadcastBus::new(4, LatencyModel::lan());
+        let faulty = BroadcastBus::with_faults(4, LatencyModel::lan(), &lossy);
+        let dead = BroadcastBus::new(4, LatencyModel::lan());
+        dead.disconnect(1);
+        let busy = BroadcastBus::new(4, LatencyModel::lan());
+        busy.broadcast(snapshot_update(&fleet(1, 0)[0], 0, 0, 7));
+        for (bus, closed_form) in [
+            (&quiet, true),
+            (&faulty, false),
+            (&dead, false),
+            (&busy, false),
+        ] {
+            let mut models = fleet(4, 8);
+            let mut engine = DflRound::new();
+            let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+            engine.run(
+                &mut col,
+                &RoundParams {
+                    bus,
+                    round: 1,
+                    model_id: 0,
+                    alpha: None,
+                    policy: &policy,
+                    mode: AggregationMode::SharedSum,
+                    participants: None,
+                },
+            );
+            assert_eq!(engine.closed_form, closed_form);
+            assert_eq!(engine.pool().in_flight(), 0);
+        }
     }
 
     #[test]

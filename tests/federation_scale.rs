@@ -3,11 +3,16 @@
 //! `PerHome` mode must stay byte-identical to the retained sequential
 //! reference — same model bits, same bus statistics — and the O(N)
 //! `SharedSum` fast path must be numerically equivalent on fault-free
-//! rounds while remaining run-to-run byte-deterministic.
+//! rounds while remaining run-to-run byte-deterministic. A quiet bus
+//! settles a round in closed form instead of fanning payloads out
+//! through the mailboxes; that shortcut must be invisible — bit for bit
+//! the mailbox path — and must never engage when something could
+//! perturb a delivery.
 
 use pfdrl::fl::{
-    dfl_round_reference, AggregationMode, BroadcastBus, DflRound, FaultConfig, HierParams,
-    HierarchicalRound, LatencyModel, MergePolicy, PayloadCodec, RoundParams, ShardPlan,
+    dfl_round_reference, snapshot_update, AggregationMode, BroadcastBus, DflRound, FaultConfig,
+    HierParams, HierarchicalRound, LatencyModel, MergePolicy, ModelUpdate, PayloadCodec,
+    RoundOutcome, RoundParams, ShardPlan,
 };
 use pfdrl::nn::{Activation, Layered, Mlp};
 use proptest::prelude::*;
@@ -40,6 +45,8 @@ fn bits(models: &[Mlp]) -> Vec<u64> {
         .collect()
 }
 
+/// One flat round with an optional participation mask.
+#[allow(clippy::too_many_arguments)]
 fn run_engine(
     models: &mut [Mlp],
     engine: &mut DflRound,
@@ -48,9 +55,10 @@ fn run_engine(
     alpha: Option<usize>,
     policy: &MergePolicy,
     mode: AggregationMode,
-) {
+    participants: Option<&[bool]>,
+) -> RoundOutcome {
     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-    let _ = engine.run(
+    engine.run(
         &mut col,
         &RoundParams {
             bus,
@@ -59,9 +67,9 @@ fn run_engine(
             alpha,
             policy,
             mode,
-            participants: None,
+            participants,
         },
-    );
+    )
 }
 
 fn run_hier(
@@ -82,6 +90,28 @@ fn run_hier(
             participants: None,
         },
     );
+}
+
+/// Queues `update` in receiver `home`'s mailbox without charging any
+/// traffic, so the bus fails the closed-form gate. `restore_state`
+/// appends the given queues to the live ones and rewrites the stats
+/// with the bus's own.
+fn queue_quietly(bus: &BroadcastBus, home: usize, update: ModelUpdate) {
+    let mut state = bus.export_state();
+    state.mailboxes.iter_mut().for_each(Vec::clear);
+    state.mailboxes[home].push(update);
+    bus.restore_state(&state).expect("state restores");
+}
+
+/// An update for another model: the keyed drains of a model-0 round
+/// discard it, so it changes nothing but the path the round takes.
+fn other_model() -> ModelUpdate {
+    ModelUpdate {
+        sender: 0,
+        round: 0,
+        model_id: 99,
+        layers: Vec::new(),
+    }
 }
 
 proptest! {
@@ -109,7 +139,7 @@ proptest! {
         let mut engine = DflRound::new();
         for round in 1..=4u64 {
             run_engine(&mut a, &mut engine, &bus_a, round, alpha, &policy,
-                       AggregationMode::PerHome);
+                       AggregationMode::PerHome, None);
             let mut refs: Vec<&mut Mlp> = b.iter_mut().collect();
             dfl_round_reference(&mut refs, &bus_b, round, 0, alpha, &policy);
             prop_assert!(
@@ -142,7 +172,7 @@ proptest! {
                 (&mut shared2, AggregationMode::SharedSum),
             ] {
                 let bus = BroadcastBus::new(n, LatencyModel::lan());
-                run_engine(models, &mut engine, &bus, round, Some(2), &policy, mode);
+                run_engine(models, &mut engine, &bus, round, Some(2), &policy, mode, None);
             }
         }
         prop_assert_eq!(bits(&shared), bits(&shared2));
@@ -180,7 +210,7 @@ proptest! {
             ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault);
         for round in 1..=4u64 {
             run_engine(&mut flat, &mut flat_engine, &bus, round, alpha, &policy,
-                       AggregationMode::SharedSum);
+                       AggregationMode::SharedSum, None);
             run_hier(&mut hier, &mut hier_engine, round, alpha, &policy);
             prop_assert!(
                 bits(&flat) == bits(&hier),
@@ -341,6 +371,206 @@ proptest! {
             splits[1] == splits[0] && splits[2] == splits[0],
             "fast/fallback split diverged from raw (seed {}, n {}): raw {:?}, q8 {:?}, topk {:?}",
             seed, n, splits[0], splits[1], splits[2]
+        );
+    }
+}
+
+proptest! {
+    /// A quiet bus settles a round in closed form; the same round on a
+    /// bus whose mailbox holds another model's update goes through the
+    /// mailboxes (its keyed drains discard that update). Both must
+    /// agree bit for bit — models, round outcomes, `BusStats`,
+    /// simulated seconds and exported engine state — in `PerHome`,
+    /// `SharedSum` and `Hierarchical`, with full or base-layer
+    /// exchange, with or without a participation mask, in every codec.
+    #[test]
+    fn closed_form_rounds_equal_mailbox_rounds_bitwise(
+        seed in 0u64..10_000,
+        n in 2usize..9,
+        mode_pick in 0usize..3,
+        alpha_pick in 0usize..2,
+        mask_bits in 0u64..512,
+        codec_pick in 0usize..3,
+    ) {
+        let codec = [
+            PayloadCodec::Raw,
+            PayloadCodec::QuantizedI8 { per_layer_scale: true },
+            PayloadCodec::TopK { fraction: 0.3 },
+        ][codec_pick];
+        let alpha = if alpha_pick == 1 { Some(2) } else { None };
+        // mask_bits == 0 means no mask; otherwise bit h withholds home h.
+        let mask: Option<Vec<bool>> =
+            (mask_bits != 0).then(|| (0..n).map(|h| mask_bits >> h & 1 == 0).collect());
+        let policy = MergePolicy::default();
+        let quiet = FaultConfig::default();
+        let mut closed = fleet(n, seed ^ 0xC105);
+        let mut mailbox = fleet(n, seed ^ 0xC105);
+
+        if mode_pick < 2 {
+            let mode = [AggregationMode::PerHome, AggregationMode::SharedSum][mode_pick];
+            let bus_c = BroadcastBus::with_codec(n, LatencyModel::lan(), &quiet, codec);
+            let bus_m = BroadcastBus::with_codec(n, LatencyModel::lan(), &quiet, codec);
+            let (mut ec, mut em) = (DflRound::new(), DflRound::new());
+            for round in 1..=3u64 {
+                queue_quietly(&bus_m, (seed + round) as usize % n, other_model());
+                let oc = run_engine(&mut closed, &mut ec, &bus_c, round, alpha, &policy,
+                                    mode, mask.as_deref());
+                let om = run_engine(&mut mailbox, &mut em, &bus_m, round, alpha, &policy,
+                                    mode, mask.as_deref());
+                prop_assert_eq!(oc, om);
+                prop_assert!(
+                    bits(&closed) == bits(&mailbox),
+                    "round {} diverged (seed {}, n {}, {:?}, alpha {:?}, mask {:?}, codec {})",
+                    round, seed, n, mode, alpha, mask, codec.label()
+                );
+            }
+            prop_assert_eq!(bus_c.stats(), bus_m.stats());
+            prop_assert_eq!(
+                bus_c.simulated_seconds().to_bits(),
+                bus_m.simulated_seconds().to_bits()
+            );
+            prop_assert_eq!(bus_c.export_state(), bus_m.export_state());
+        } else {
+            let shards = 1 + seed as usize % 3;
+            let engine = || HierarchicalRound::with_codec(
+                ShardPlan::round_robin(n, shards), LatencyModel::lan(), &quiet, codec);
+            let (mut ec, mut em) = (engine(), engine());
+            for round in 1..=3u64 {
+                // Every shard bus holds a foreign update, so every shard
+                // takes the mailbox path.
+                let mut state = em.export_state();
+                for shard in &mut state.shards {
+                    shard.bus.mailboxes.iter_mut().for_each(Vec::clear);
+                    shard.bus.mailboxes[0].push(other_model());
+                }
+                em.restore_state(&state).expect("state restores");
+                let params = HierParams {
+                    round,
+                    model_id: 0,
+                    alpha,
+                    policy: &policy,
+                    participants: mask.as_deref(),
+                };
+                let mut col: Vec<&mut Mlp> = closed.iter_mut().collect();
+                let oc = ec.run(&mut col, &params);
+                let mut col: Vec<&mut Mlp> = mailbox.iter_mut().collect();
+                let om = em.run(&mut col, &params);
+                prop_assert_eq!(oc, om);
+                prop_assert!(
+                    bits(&closed) == bits(&mailbox),
+                    "round {} diverged (seed {}, n {}, shards {}, alpha {:?}, mask {:?}, codec {})",
+                    round, seed, n, shards, alpha, mask, codec.label()
+                );
+            }
+            prop_assert_eq!(ec.total_stats(), em.total_stats());
+            prop_assert_eq!(
+                ec.simulated_seconds().to_bits(),
+                em.simulated_seconds().to_bits()
+            );
+            prop_assert_eq!(ec.export_state(), em.export_state());
+        }
+    }
+}
+
+/// Each gate of the closed-form exchange falls back to the mailbox
+/// path with its old behaviour: under an active fault plan, with a
+/// disconnected receiver, and with an undrained same-model update in a
+/// mailbox, the `PerHome` engine still equals the sequential reference
+/// bit for bit (`BusStats` included), and `SharedSum` shows each
+/// gate's footprint — drops, a demoted receiver, a stale delivery
+/// merged.
+#[test]
+fn every_closed_form_gate_falls_back_to_the_mailbox_path() {
+    let n = 6;
+    let policy = MergePolicy::default();
+    let lossy = FaultConfig {
+        seed: 5,
+        loss_rate: 0.3,
+        ..FaultConfig::default()
+    };
+    for gate in ["fault plan", "disconnected receiver", "undrained mailbox"] {
+        let make_bus = || {
+            let faults = if gate == "fault plan" {
+                lossy
+            } else {
+                FaultConfig::default()
+            };
+            let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &faults);
+            match gate {
+                "disconnected receiver" => bus.disconnect(2),
+                "undrained mailbox" => queue_quietly(&bus, 3, {
+                    let stale = fleet(1, 77);
+                    snapshot_update(&stale[0], 0, 0, 0)
+                }),
+                _ => {}
+            }
+            bus
+        };
+
+        // PerHome against the sequential reference.
+        let (bus_e, bus_r) = (make_bus(), make_bus());
+        let mut engine_models = fleet(n, 41);
+        let mut ref_models = fleet(n, 41);
+        let mut engine = DflRound::new();
+        for round in 1..=3u64 {
+            run_engine(
+                &mut engine_models,
+                &mut engine,
+                &bus_e,
+                round,
+                None,
+                &policy,
+                AggregationMode::PerHome,
+                None,
+            );
+            let mut col: Vec<&mut Mlp> = ref_models.iter_mut().collect();
+            dfl_round_reference(&mut col, &bus_r, round, 0, None, &policy);
+            assert_eq!(
+                bits(&engine_models),
+                bits(&ref_models),
+                "{gate}, round {round}"
+            );
+        }
+        assert_eq!(bus_e.stats(), bus_r.stats(), "{gate}");
+
+        // SharedSum: the gate's footprint on the first round.
+        let bus = make_bus();
+        let mut models = fleet(n, 41);
+        let before = bits(&models[2..3]);
+        let out = run_engine(
+            &mut models,
+            &mut DflRound::new(),
+            &bus,
+            1,
+            None,
+            &policy,
+            AggregationMode::SharedSum,
+            None,
+        );
+        let stats = bus.stats();
+        match gate {
+            "fault plan" => {
+                assert!(stats.dropped_loss > 0, "{stats:?}");
+                assert!(out.fallback_homes > 0, "{out:?}");
+            }
+            "disconnected receiver" => {
+                assert_eq!(stats.dropped_disconnected, n as u64 - 1);
+                assert_eq!(out.fallback_homes, 1, "only the dead receiver falls back");
+                assert_eq!(
+                    bits(&models[2..3]),
+                    before,
+                    "the dead receiver merged nothing"
+                );
+            }
+            _ => {
+                assert_eq!(stats.dropped_total(), 0);
+                assert_eq!(out.fallback_homes, 1, "only the stale mailbox falls back");
+            }
+        }
+        assert_eq!(
+            stats.messages + stats.dropped_total(),
+            (n * (n - 1)) as u64,
+            "{gate}"
         );
     }
 }
