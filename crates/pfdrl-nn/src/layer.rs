@@ -5,14 +5,17 @@ use crate::init::Init;
 use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Reusable scratch owned by a [`Dense`] layer: the forward
-/// pre-activation, the backward `dPre`, gradient temporaries, and a
-/// cached transpose of the weight matrix (`w_t`), which is refreshed
-/// lazily and invalidated whenever the weights mutate. All buffers are
-/// sized on first use and reused thereafter, so the `_into` paths make
-/// zero heap allocations in steady state. Never serialized — a
-/// deserialized layer simply re-sizes on its next pass.
+/// pre-activation, the backward `dPre`, gradient temporaries, and two
+/// caches derived from the weight matrix — its transpose (`w_t`) and
+/// whether it is all finite (`w_finite`, which lets the forward product
+/// drop the zero-skip; see [`Matrix::matmul_noskip_into`]). Both are
+/// refreshed lazily and invalidated whenever the weights mutate. All
+/// buffers are sized on first use and reused thereafter, so the `_into`
+/// paths make zero heap allocations in steady state. Never serialized —
+/// a deserialized layer simply re-sizes on its next pass.
 #[derive(Debug, Clone, Default)]
 struct DenseWs {
     pre: Matrix,
@@ -21,6 +24,17 @@ struct DenseWs {
     gb_tmp: Vec<f64>,
     w_t: Matrix,
     w_t_valid: bool,
+    /// Scanned at most once per weight mutation; a `OnceLock` so the
+    /// `&self` inference path can fill it and still be shared.
+    w_finite: OnceLock<bool>,
+}
+
+impl DenseWs {
+    /// Drops the weight-derived caches; called wherever `w` may mutate.
+    fn invalidate_w(&mut self) {
+        self.w_t_valid = false;
+        self.w_finite.take();
+    }
 }
 
 /// A dense layer computing `act(x * W + b)` over a batch of row vectors.
@@ -124,7 +138,8 @@ impl Dense {
     /// `out`, reusing its buffer. Bit-identical to `infer`.
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "Dense::infer input width mismatch");
-        x.matmul_into(&self.w, out);
+        let w_finite = || *self.ws.w_finite.get_or_init(|| self.w.all_finite());
+        x.matmul_noskip_into(&self.w, w_finite, out);
         out.add_row_broadcast_map(&self.b, |v| self.act.apply(v));
     }
 
@@ -140,7 +155,8 @@ impl Dense {
             "Dense::forward input width mismatch"
         );
         let Dense { w, b, act, ws, .. } = self;
-        x.matmul_into(w, &mut ws.pre);
+        let w_finite = || *ws.w_finite.get_or_init(|| w.all_finite());
+        x.matmul_noskip_into(w, w_finite, &mut ws.pre);
         out.resize(ws.pre.rows(), ws.pre.cols());
         // Bias add and activation in one traversal: the pre-activation
         // sum is rounded once before `act` either way, so this is
@@ -158,7 +174,9 @@ impl Dense {
     /// Allocation-free backward pass paired with [`Dense::forward_into`]:
     /// `input` and `output` must be the same matrices that forward pass
     /// consumed and produced, `dout` is dL/d(output), and dL/d(input) is
-    /// written into `d_in`. The activation derivative is evaluated from
+    /// written into `d_in` — or not computed at all when `d_in` is
+    /// `None` (a network's first layer, whose input gradient nobody
+    /// reads). The activation derivative is evaluated from
     /// the already-activated `output`
     /// ([`Activation::derivative_from_output`]), halving the backward
     /// transcendental work while keeping every bit: `output` holds
@@ -171,7 +189,7 @@ impl Dense {
         input: &Matrix,
         output: &Matrix,
         dout: &Matrix,
-        d_in: &mut Matrix,
+        d_in: Option<&mut Matrix>,
     ) {
         let Dense {
             w, act, gw, gb, ws, ..
@@ -197,8 +215,9 @@ impl Dense {
         {
             *d = dov * act.derivative_from_output(ov);
         }
-        // Accumulate gradients: gW += Xᵀ dPre, gb += colsum(dPre).
-        input.t_matmul_into(&ws.dpre, &mut ws.gw_tmp);
+        // Accumulate gradients: gW += Xᵀ dPre, gb += colsum(dPre). dPre
+        // is K times smaller than the product, so it is scanned per call.
+        input.t_matmul_noskip_into(&ws.dpre, || ws.dpre.all_finite(), &mut ws.gw_tmp);
         gw.add_assign(&ws.gw_tmp);
         ws.gb_tmp.resize(ws.dpre.cols(), 0.0);
         ws.dpre.col_sums_into(&mut ws.gb_tmp);
@@ -206,6 +225,9 @@ impl Dense {
             *g += d;
         }
         // dX = dPre Wᵀ, through the cached transpose.
+        let Some(d_in) = d_in else {
+            return;
+        };
         if !ws.w_t_valid {
             w.transpose_into(&mut ws.w_t);
             ws.w_t_valid = true;
@@ -226,7 +248,7 @@ impl Dense {
         );
         self.w.as_mut_slice().copy_from_slice(other.w.as_slice());
         self.b.copy_from_slice(&other.b);
-        self.ws.w_t_valid = false;
+        self.ws.invalidate_w();
     }
 
     /// Backward pass. `dout` is dL/d(output); returns dL/d(input) and
@@ -271,13 +293,13 @@ impl Dense {
     /// Mutable parameter slices paired with their gradient slices,
     /// in a stable order (weights then biases).
     ///
-    /// Handing out `&mut w` may mutate weights, so the cached transpose
-    /// is invalidated here.
+    /// Handing out `&mut w` may mutate weights, so the weight-derived
+    /// caches are invalidated here.
     pub fn param_grad_pairs(&mut self) -> [(&mut [f64], &[f64]); 2] {
         let Dense {
             w, b, gw, gb, ws, ..
         } = self;
-        ws.w_t_valid = false;
+        ws.invalidate_w();
         [
             (w.as_mut_slice(), gw.as_slice()),
             (b.as_mut_slice(), gb.as_slice()),
@@ -312,7 +334,7 @@ impl Dense {
         let (wp, bp) = data.split_at(self.w.len());
         self.w.as_mut_slice().copy_from_slice(wp);
         self.b.copy_from_slice(bp);
-        self.ws.w_t_valid = false;
+        self.ws.invalidate_w();
     }
 }
 
@@ -436,6 +458,43 @@ mod tests {
         let before = b.export_flat();
         a.import_flat(&before);
         assert_eq!(a.export_flat(), before);
+    }
+
+    /// The cached weight finiteness must follow every weight mutation:
+    /// once `w` holds ∞ where the input is zero, the products have to
+    /// take the zero-skip again (the reference skips `0 * ∞`), so no
+    /// NaN may appear.
+    #[test]
+    fn weight_finiteness_cache_follows_every_mutation() {
+        let x = Matrix::from_vec(2, 3, vec![0.0, 1.0, 2.0, 0.0, -1.0, 0.5]);
+        let mut poisoned = layer(Activation::Identity).export_flat();
+        poisoned[0] = f64::INFINITY; // w[0][0] meets x's zero column
+        let mut source = layer(Activation::Identity);
+        source.import_flat(&poisoned);
+        let no_nan = |m: &Matrix| m.as_slice().iter().all(|v| !v.is_nan());
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        type Mutate = fn(&mut Dense, &Dense, &[f64]);
+        let mutations: [(&str, Mutate); 3] = [
+            ("import_flat", |l, _, p| l.import_flat(p)),
+            ("copy_weights_from", |l, src, _| l.copy_weights_from(src)),
+            ("param_grad_pairs", |l, _, p| {
+                let [(w, _), _] = l.param_grad_pairs();
+                let n = w.len();
+                w.copy_from_slice(&p[..n]);
+            }),
+        ];
+        for (what, mutate) in mutations {
+            let mut l = layer(Activation::Identity);
+            let mut out = Matrix::default();
+            // Fill the cache with "finite" first.
+            assert!(no_nan(&l.infer(&x)));
+            l.forward_into(&x, &mut out);
+            mutate(&mut l, &source, &poisoned);
+            assert!(no_nan(&l.infer(&x)), "{what}: infer leaked NaN");
+            l.forward_into(&x, &mut out);
+            assert!(no_nan(&out), "{what}: forward_into leaked NaN");
+            assert_eq!(bits(&out), bits(&l.forward(&x)), "{what}");
+        }
     }
 
     #[test]

@@ -7,21 +7,23 @@
 //! that write into a caller-owned buffer. For the layer widths the
 //! workspace actually uses, the `_into` kernels hold each output row in a
 //! const-width register accumulator across the whole reduction, but keep
-//! the per-element `k`-accumulation order (and the `a == 0.0` skip) of the
-//! original scalar `ikj` loops, so results are **bit-identical** to the
-//! retained `*_reference` oracles — a hard requirement, since checkpoint
-//! resume is verified bit-for-bit.
+//! the per-element `k`-accumulation order of the original scalar `ikj`
+//! loops, so results are **bit-identical** to the retained `*_reference`
+//! oracles — a hard requirement, since checkpoint resume is verified
+//! bit-for-bit. The reference loops skip `a == 0.0` terms; the `_noskip`
+//! entry points drop that branch when the right operand is all finite,
+//! where the skip cannot change a bit.
 
 use serde::{Deserialize, Serialize};
 
 /// Monomorphizes a kernel call over the output widths this workspace
 /// actually produces — LSTM hidden/concat widths (24, 27), MLP hidden
-/// widths (16, 48, 100), action/head widths (1..4) and a few small
-/// sizes the property tests exercise — falling back to the generic
-/// SAXPY loop for anything else. The bracketed const argument forwards
-/// the kernel's zero-skip flag.
+/// widths (12, 16, 48, 100), the repro DQN state width (14),
+/// action/head widths (1..4) and a few small sizes the property tests
+/// exercise — falling back to the generic SAXPY loop for anything else.
+/// The bracketed const argument forwards the kernel's zero-skip flag.
 macro_rules! dispatch_acc {
-    ($n:expr, [$($skip:tt)*], $run:ident($($a:expr),*), $fallback:block) => {
+    ($n:expr, [$($skip:tt)*], $run:ident($($a:expr),*), $fallback:expr) => {
         match $n {
             1 => $run::<1, $($skip)*>($($a),*),
             2 => $run::<2, $($skip)*>($($a),*),
@@ -29,6 +31,8 @@ macro_rules! dispatch_acc {
             4 => $run::<4, $($skip)*>($($a),*),
             6 => $run::<6, $($skip)*>($($a),*),
             8 => $run::<8, $($skip)*>($($a),*),
+            12 => $run::<12, $($skip)*>($($a),*),
+            14 => $run::<14, $($skip)*>($($a),*),
             16 => $run::<16, $($skip)*>($($a),*),
             24 => $run::<24, $($skip)*>($($a),*),
             27 => $run::<27, $($skip)*>($($a),*),
@@ -40,14 +44,20 @@ macro_rules! dispatch_acc {
     };
 }
 
+/// Widest output for which two register accumulators still fit the
+/// vector register file: the kernels pair output rows up to this width,
+/// and the `_noskip` entry points drop the zero-skip only up to it.
+/// Wider rows cost enough per `a` that skipping a zero outweighs the
+/// branch (measured on the 8x100 paper Q-net).
+const NARROW_N: usize = 27;
+
 /// `A(m x k) * B(k x N)` with each output row kept in an `[f64; N]`
 /// accumulator: the compiler maps the accumulator to vector registers,
 /// so the row is stored exactly once instead of being reloaded per `k`.
 /// Per output column the sum runs in ascending `k` from `0.0`, skipping
 /// `a == 0.0` terms iff `SKIP` — the reference `ikj` order, bit for bit.
 ///
-/// Narrow widths (`N <= 27`, where two accumulators still fit the
-/// vector register file) process output rows in pairs sharing one
+/// Narrow widths (`N <= NARROW_N`) process output rows in pairs sharing one
 /// stream of `B` rows, halving the `B` load traffic. Each row's
 /// accumulation chain is exactly the single-row chain — pairing only
 /// reorders *independent* per-row sums, so bits are unchanged.
@@ -59,7 +69,7 @@ fn matmul_acc_rows<const N: usize, const SKIP: bool>(
 ) {
     let mut a_tail = a;
     let mut out_tail = out;
-    if N <= 27 {
+    if N <= NARROW_N {
         let pairs = (a_tail.len() / k) / 2;
         let (a2, ar) = a_tail.split_at(pairs * 2 * k);
         let (o2, or) = out_tail.split_at_mut(pairs * 2 * N);
@@ -124,7 +134,7 @@ fn t_matmul_acc_rows<const N: usize, const SKIP: bool>(
     // pass over `A`/`B` feeds two register accumulators; each row's
     // per-element sum order is untouched, so bits match the single-row
     // loop below.
-    if N <= 27 {
+    if N <= NARROW_N {
         while ck + 2 <= n_rows {
             let out0 = out_rows.next().expect("paired output row");
             let out1 = out_rows.next().expect("paired output row");
@@ -168,6 +178,46 @@ fn t_matmul_acc_rows<const N: usize, const SKIP: bool>(
         }
         out_row.copy_from_slice(&acc);
         ck += 1;
+    }
+}
+
+/// Row-streaming SAXPY `A(m x k) * B(k x n)` for widths without a
+/// register kernel: the same ascending-`k` sum per output element (and
+/// the same `SKIP`) as [`matmul_acc_rows`], reloading the output row for
+/// every `a[i][k]`.
+fn matmul_saxpy_rows<const SKIP: bool>(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    out.fill(0.0);
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
+    }
+}
+
+/// Row-streaming `Aᵀ(k x m) * B(m x n)` for widths without a register
+/// kernel; per output element the sum order of [`t_matmul_acc_rows`].
+fn t_matmul_saxpy_rows<const SKIP: bool>(
+    a: &[f64],
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    out.fill(0.0);
+    for (a_row, b_row) in a.chunks_exact(k.max(1)).zip(b.chunks_exact(n)) {
+        for (out_row, &av) in out.chunks_exact_mut(n).zip(a_row) {
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                *o += av * bv;
+            }
+        }
     }
 }
 
@@ -245,6 +295,14 @@ impl Matrix {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// Whether every element is finite (no NaN, no ±∞): the condition
+    /// under which [`Matrix::matmul_noskip_into`] and
+    /// [`Matrix::t_matmul_noskip_into`] may drop the zero-skip. One
+    /// branch-free fold, so it vectorizes.
+    pub fn all_finite(&self) -> bool {
+        self.data.iter().fold(true, |ok, v| ok & v.is_finite())
     }
 
     #[inline]
@@ -342,11 +400,61 @@ impl Matrix {
     /// is indistinguishable from a zero-filled output row, so every
     /// output bit matches the reference.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.check_matmul(rhs, "matmul_into");
+        self.matmul_kernel::<true>(rhs, out);
+    }
+
+    /// [`Matrix::matmul_into`] without the `a == 0.0` skip whenever
+    /// `rhs` is at most `NARROW_N` (27) wide and all finite.
+    /// `rhs_finite` must return [`Matrix::all_finite`] of `rhs`; it is
+    /// called only for narrow `rhs`, so callers can cache the answer or
+    /// skip the scan. Still bit-identical to
+    /// [`Matrix::matmul_reference`] on every input:
+    ///
+    /// every accumulator starts at `+0.0` and, under round-to-nearest,
+    /// can never become `-0.0` (`x + (-x) = +0`, `+0 + -0 = +0`), so a
+    /// skipped term `0 * b = ±0` with finite `b` leaves it bit for bit
+    /// unchanged. Only `0 * ±∞ = NaN` makes the skip observable, and a
+    /// non-finite `rhs` takes the skipping kernel. Dropping the branch
+    /// pays off on ReLU activations, whose data-dependent zeros make it
+    /// mispredict.
+    pub fn matmul_noskip_into(
+        &self,
+        rhs: &Matrix,
+        rhs_finite: impl FnOnce() -> bool,
+        out: &mut Matrix,
+    ) {
+        self.check_matmul(rhs, "matmul_noskip_into");
+        if rhs.narrow_and_finite(rhs_finite) {
+            self.matmul_kernel::<false>(rhs, out);
+        } else {
+            self.matmul_kernel::<true>(rhs, out);
+        }
+    }
+
+    /// Whether a `_noskip` product with `self` on the right may drop the
+    /// zero-skip: `self` is narrow and `finite()` (its finiteness,
+    /// evaluated only when narrow) holds.
+    fn narrow_and_finite(&self, finite: impl FnOnce() -> bool) -> bool {
+        if self.cols > NARROW_N {
+            return false;
+        }
+        let finite = finite();
+        debug_assert_eq!(finite, self.all_finite(), "stale finiteness");
+        finite
+    }
+
+    fn check_matmul(&self, rhs: &Matrix, what: &str) {
         assert_eq!(
             self.cols, rhs.rows,
-            "matmul_into: {}x{} * {}x{} dimension mismatch",
+            "{what}: {}x{} * {}x{} dimension mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+    }
+
+    /// `self * rhs` into `out` through the register kernel for `rhs`'s
+    /// width (SAXPY fallback otherwise), skipping `a == 0.0` iff `SKIP`.
+    fn matmul_kernel<const SKIP: bool>(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize(self.rows, rhs.cols);
         let (k, n) = (self.cols, rhs.cols);
         if n == 0 {
@@ -358,38 +466,52 @@ impl Matrix {
         }
         dispatch_acc!(
             n,
-            [true],
+            [SKIP],
             matmul_acc_rows(&self.data, k, &rhs.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n))
-                {
-                    for (&a, b_row) in a_row.iter().zip(rhs.data.chunks_exact(n)) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
+            matmul_saxpy_rows::<SKIP>(&self.data, k, &rhs.data, n, &mut out.data)
         );
     }
 
     /// Non-allocating `selfᵀ * rhs` into `out`. Bit-identical to
-    /// [`Matrix::t_matmul`].
+    /// [`Matrix::t_matmul_reference`].
     ///
     /// Dispatch-width shapes accumulate each output row (one per column
     /// of `self`) in a const-width register tile over the shared row
     /// dimension; the summation order per output element (ascending row
     /// index, skipping `a == 0.0`) is exactly the reference loop's.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.check_t_matmul(rhs, "t_matmul_into");
+        self.t_matmul_kernel::<true>(rhs, out);
+    }
+
+    /// [`Matrix::t_matmul_into`] without the `a == 0.0` skip whenever
+    /// `rhs` is at most `NARROW_N` (27) wide and all finite, with the
+    /// `rhs_finite` contract of [`Matrix::matmul_noskip_into`];
+    /// bit-identical to [`Matrix::t_matmul_reference`] for the reason
+    /// given there.
+    pub fn t_matmul_noskip_into(
+        &self,
+        rhs: &Matrix,
+        rhs_finite: impl FnOnce() -> bool,
+        out: &mut Matrix,
+    ) {
+        self.check_t_matmul(rhs, "t_matmul_noskip_into");
+        if rhs.narrow_and_finite(rhs_finite) {
+            self.t_matmul_kernel::<false>(rhs, out);
+        } else {
+            self.t_matmul_kernel::<true>(rhs, out);
+        }
+    }
+
+    fn check_t_matmul(&self, rhs: &Matrix, what: &str) {
         assert_eq!(
             self.rows, rhs.rows,
-            "t_matmul_into: {}x{} ᵀ* {}x{} dimension mismatch",
+            "{what}: {}x{} ᵀ* {}x{} dimension mismatch",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+    }
+
+    fn t_matmul_kernel<const SKIP: bool>(&self, rhs: &Matrix, out: &mut Matrix) {
         out.resize(self.cols, rhs.cols);
         let n = rhs.cols;
         if n == 0 {
@@ -397,26 +519,9 @@ impl Matrix {
         }
         dispatch_acc!(
             n,
-            [true],
+            [SKIP],
             t_matmul_acc_rows(&self.data, self.cols, &rhs.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, b_row) in self
-                    .data
-                    .chunks_exact(self.cols.max(1))
-                    .zip(rhs.data.chunks_exact(n))
-                {
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let out_row = &mut out.data[k * n..(k + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
+            t_matmul_saxpy_rows::<SKIP>(&self.data, self.cols, &rhs.data, n, &mut out.data)
         );
     }
 
@@ -489,31 +594,7 @@ impl Matrix {
             "matmul_cached_t_into: {}x{} * ({}x{})ᵀᵀ dimension mismatch",
             self.rows, self.cols, rhs_t.rows, rhs_t.cols
         );
-        out.resize(self.rows, rhs_t.cols);
-        let (k, n) = (self.cols, rhs_t.cols);
-        if n == 0 {
-            return;
-        }
-        if k == 0 {
-            out.fill_zero();
-            return;
-        }
-        dispatch_acc!(
-            n,
-            [false],
-            matmul_acc_rows(&self.data, k, &rhs_t.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n))
-                {
-                    for (&a, b_row) in a_row.iter().zip(rhs_t.data.chunks_exact(n)) {
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        );
+        self.matmul_kernel::<false>(rhs_t, out);
     }
 
     /// The original scalar `ikj` matmul, kept verbatim as the

@@ -185,8 +185,10 @@ impl Mlp {
 
     /// Allocation-free backward pass paired with [`Mlp::forward_ws`]:
     /// `x` must be the same input that forward pass consumed. Gradients
-    /// accumulate exactly as in [`Mlp::backward`]; returns dL/d(input).
-    pub fn backward_ws(&mut self, x: &Matrix, dout: &Matrix) -> &Matrix {
+    /// accumulate exactly as in [`Mlp::backward`]. Unlike `backward` it
+    /// does not compute dL/d(input): every caller trains on the weight
+    /// gradients alone, so the first layer skips its `dPre·Wᵀ` product.
+    pub fn backward_ws(&mut self, x: &Matrix, dout: &Matrix) {
         let Mlp { layers, ws } = self;
         let MlpWs { acts, d_a, d_b, .. } = ws;
         let n = layers.len();
@@ -200,14 +202,11 @@ impl Mlp {
             // computed instead of re-running sigmoid/tanh on the
             // pre-activation (bit-identical, half the transcendentals).
             let output = &acts[i];
-            if i == n - 1 {
-                layer.backward_into(input, output, dout, cur);
-            } else {
-                layer.backward_into(input, output, cur, next);
-                std::mem::swap(&mut cur, &mut next);
-            }
+            let upstream = if i == n - 1 { dout } else { &*cur };
+            let d_in = if i == 0 { None } else { Some(&mut *next) };
+            layer.backward_into(input, output, upstream, d_in);
+            std::mem::swap(&mut cur, &mut next);
         }
-        &*cur
     }
 
     /// Visits every (parameter, gradient) slice pair in the stable
